@@ -3,7 +3,7 @@
 //!
 //! In-process the structs below travel through `dewe-mq` topics as-is.
 //! Over TCP they are wrapped in [`WireMsg`] and serialized into
-//! length-prefixed frames (see `dewe_mq::read_frame`/`write_frame`) as
+//! length-prefixed frames (see `dewe_mq::push_frame`/`read_frame`) as
 //! `[PROTOCOL_VERSION, message-type, body…]`. Decoding checks the
 //! version byte *first*: a frame from an incompatible peer is rejected
 //! as [`WireError::Version`] before any body parsing, so mixed-version
@@ -311,69 +311,78 @@ pub enum WireMsg {
 }
 
 impl WireMsg {
-    /// Serialize into a frame payload: `[version, type, body…]`.
+    /// Serialize into a fresh frame payload: `[version, type, body…]`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the frame payload to `out` — [`encode`](Self::encode)
+    /// without the allocation. Connection writers call it inside
+    /// `dewe_mq::BurstWriter::push`, which puts the length prefix in
+    /// front, so a burst of messages encodes straight into one reused
+    /// buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(PROTOCOL_VERSION);
         match self {
             WireMsg::Hello { worker, generation, shard, window } => {
                 out.push(T_HELLO);
-                put_u32(&mut out, *worker);
-                put_u32(&mut out, *generation);
+                put_u32(out, *worker);
+                put_u32(out, *generation);
                 match shard {
                     Some(s) => {
                         out.push(1);
-                        put_u32(&mut out, *s);
+                        put_u32(out, *s);
                     }
                     None => out.push(0),
                 }
-                put_u32(&mut out, *window);
+                put_u32(out, *window);
             }
             WireMsg::SubmitterHello => out.push(T_SUBMITTER_HELLO),
             WireMsg::Ack(ack) => {
                 out.push(T_ACK);
-                put_u32(&mut out, ack.job.workflow.0);
-                put_u32(&mut out, ack.job.job.0);
-                put_u32(&mut out, ack.worker);
+                put_u32(out, ack.job.workflow.0);
+                put_u32(out, ack.job.job.0);
+                put_u32(out, ack.worker);
                 out.push(ack.kind.code());
-                put_u32(&mut out, ack.attempt);
+                put_u32(out, ack.attempt);
             }
             WireMsg::Lifecycle(msg) => {
                 out.push(T_LIFECYCLE);
-                put_u32(&mut out, msg.worker);
-                put_u32(&mut out, msg.generation);
+                put_u32(out, msg.worker);
+                put_u32(out, msg.generation);
                 out.push(msg.kind.code());
             }
             WireMsg::Submit { name, dag } => {
                 out.push(T_SUBMIT);
-                put_str(&mut out, name);
-                put_str(&mut out, dag);
+                put_str(out, name);
+                put_str(out, dag);
             }
             WireMsg::Return(d) => {
                 out.push(T_RETURN);
-                put_dispatch(&mut out, d);
+                put_dispatch(out, d);
             }
             WireMsg::Workflow { id, name, dag } => {
                 out.push(T_WORKFLOW);
-                put_u32(&mut out, id.0);
-                put_str(&mut out, name);
-                put_str(&mut out, dag);
+                put_u32(out, id.0);
+                put_str(out, name);
+                put_str(out, dag);
             }
             WireMsg::Dispatch(d) => {
                 out.push(T_DISPATCH);
-                put_dispatch(&mut out, d);
+                put_dispatch(out, d);
             }
             WireMsg::DispatchBatch(batch) => {
                 out.push(T_DISPATCH_BATCH);
                 out.reserve(4 + batch.len() * 12);
-                put_u32(&mut out, u32::try_from(batch.len()).expect("batch exceeds u32 length"));
+                put_u32(out, u32::try_from(batch.len()).expect("batch exceeds u32 length"));
                 for d in batch {
-                    put_dispatch(&mut out, d);
+                    put_dispatch(out, d);
                 }
             }
             WireMsg::Bye => out.push(T_BYE),
         }
-        out
     }
 
     /// Parse a frame payload. The version byte is checked before

@@ -11,10 +11,27 @@
 //! ## Wire model
 //!
 //! Every connection speaks length-prefixed [`WireMsg`] frames
-//! (`dewe_mq::read_frame` / `write_frame`); the first frame after
+//! (`dewe_mq::push_frame` / `read_frame`); the first frame after
 //! `accept` is a handshake — [`WireMsg::Hello`] for workers,
 //! [`WireMsg::SubmitterHello`] for submission clients — and any version
 //! skew or garbage drops the connection before it touches master state.
+//!
+//! ## Wire I/O
+//!
+//! Frames move in bursts, never one at a time. Each connection's writer
+//! thread wakes on its out topic, drains everything queued, encodes it
+//! into one reused buffer ([`BurstWriter`]) and writes the burst with
+//! one `write` once the queue is empty — flushing when idle adds no
+//! latency (no timer, no linger, no Nagle). Out topics carry typed
+//! messages, so publishing an ack or a dispatch allocates nothing. A
+//! live workflow announcement is encoded once and its bytes shared by
+//! every connection it is broadcast to; the replay to a late-joining
+//! worker re-serializes each workflow. Readers decode out of one reused
+//! frame buffer and hand a read burst's acks to the serve loop with one
+//! `publish_all`, and a [`WireMsg::DispatchBatch`] to the slot loops the
+//! same way. Neither buffer keeps a large frame's capacity: a writer
+//! shrinks back to [`BURST_BYTES`] after each burst, a reader to
+//! [`FRAME_RETAIN`] before each read.
 //!
 //! ## Backpressure
 //!
@@ -39,7 +56,7 @@
 //! rebuild its registry before WAL recovery.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,7 +66,7 @@ use std::time::Duration;
 
 use dewe_dag::{parse_workflow, write_workflow, Workflow, WorkflowId};
 use dewe_mq::{
-    bind_reuse, read_frame, write_frame, SendWindow, Topic, Transport, WorkerTransport,
+    bind_reuse, push_frame, read_frame, BurstWriter, SendWindow, Topic, Transport, WorkerTransport,
     DEFAULT_MAX_FRAME,
 };
 use parking_lot::Mutex;
@@ -61,6 +78,90 @@ use crate::protocol::{
 
 /// How often blocked I/O helper threads re-check their stop flags.
 const IO_TICK: Duration = Duration::from_millis(50);
+
+/// A writer writes its buffer once it holds this many bytes, even with
+/// more queued: a backlog of workflow announcements (megabytes of DAG
+/// text each) drains in bounded bursts instead of one giant buffer.
+const BURST_BYTES: usize = 256 * 1024;
+
+/// Messages a writer takes off its out topic per lock acquisition.
+const BURST_MSGS: usize = 256;
+
+/// Capacity a reader's frame buffer keeps between frames. A larger frame
+/// (a workflow announcement or submission: megabytes of DAG text) grows
+/// the buffer only until the next read.
+const FRAME_RETAIN: usize = 64 * 1024;
+
+/// A reader settles its read burst — publishes the acks, drains the
+/// pending queue with the refunded credit — at least every this many
+/// acks, so a sustained flood cannot starve the serve loop.
+const SETTLE_EVERY: usize = 64;
+
+/// One message on a connection's out topic.
+enum Outbound {
+    /// A message the writer thread encodes.
+    Msg(WireMsg),
+    /// A payload encoded once and shared by every connection it is sent
+    /// on (a workflow announcement).
+    Shared(Arc<[u8]>),
+}
+
+impl Outbound {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Outbound::Msg(msg) => msg.encode_into(out),
+            Outbound::Shared(payload) => out.extend_from_slice(payload),
+        }
+    }
+}
+
+/// A connection's writer loop: drain `out` onto `w` in bursts. Every
+/// queued message is encoded into the writer's buffer, and the burst is
+/// written once the queue runs dry (or the buffer reaches
+/// [`BURST_BYTES`]). Returns `Ok` once `out` is closed and drained or
+/// `alive` turns false, and the first write error otherwise — the
+/// writer then still holds the frames that did not go out.
+fn pump<W: Write>(
+    out: &Topic<Outbound>,
+    w: &mut BurstWriter<W>,
+    alive: impl Fn() -> bool,
+) -> io::Result<()> {
+    let mut burst = Vec::new();
+    while alive() {
+        // Wait for work only with nothing buffered: frames carried over
+        // from a failed connection go out without waiting.
+        if w.buffered() == 0 {
+            match out.pull_timeout(IO_TICK) {
+                Some(first) => burst.push(first),
+                None if out.is_closed() && out.is_empty() => return Ok(()),
+                None => continue,
+            }
+        }
+        loop {
+            for msg in burst.drain(..) {
+                w.push(|buf| msg.encode_into(buf));
+            }
+            if w.buffered() >= BURST_BYTES || out.try_pull_batch(&mut burst, BURST_MSGS) == 0 {
+                break;
+            }
+        }
+        w.write_burst()?;
+        // A burst that carried an announcement grew the buffer past
+        // BURST_BYTES; give that back rather than hold it per connection.
+        w.shrink_to(BURST_BYTES);
+    }
+    Ok(())
+}
+
+/// Read the next frame into `frame`, first releasing whatever capacity
+/// beyond [`FRAME_RETAIN`] a large earlier frame left behind, so an idle
+/// connection never holds a DAG-sized buffer. `false` on end of stream
+/// or any read error.
+fn next_frame(r: &mut impl io::Read, max_frame: usize, frame: &mut Vec<u8>) -> bool {
+    frame.clear();
+    frame.shrink_to(FRAME_RETAIN);
+    matches!(read_frame(r, max_frame, frame), Ok(true))
+}
 
 // ---------------------------------------------------------------------------
 // Master side
@@ -85,9 +186,9 @@ impl Default for TcpMasterOptions {
 
 /// One connected worker, from the master's side.
 struct Conn {
-    /// Outbound frames; a dedicated writer thread drains this, so the
+    /// Outbound messages; a dedicated writer thread drains this, so the
     /// master loop never blocks on a slow worker's socket.
-    out: Topic<Vec<u8>>,
+    out: Topic<Outbound>,
     /// Dispatch credit for this connection.
     window: SendWindow,
     /// Shard pin from the Hello; `None` serves every shard.
@@ -101,8 +202,8 @@ impl Conn {
         self.shard.is_none_or(|s| s as usize == shard)
     }
 
-    fn send(&self, msg: &WireMsg) {
-        self.out.publish(msg.encode());
+    fn send(&self, msg: WireMsg) {
+        self.out.publish(Outbound::Msg(msg));
     }
 }
 
@@ -203,7 +304,7 @@ impl TcpMaster {
             let conns = inner.conns.lock();
             for conn in conns.values() {
                 if say_bye {
-                    conn.send(&WireMsg::Bye);
+                    conn.send(WireMsg::Bye);
                 }
                 // Close after Bye: the writer drains queued frames
                 // (including the Bye) before exiting.
@@ -274,18 +375,18 @@ impl Transport for TcpMaster {
                 );
             }
         }
-        let msg = WireMsg::Workflow {
-            id: announce.id,
-            name: announce.name.clone(),
-            dag: write_workflow(&announce.workflow),
-        };
+        // Encode the announcement once; every connection shares the
+        // bytes.
+        let dag = write_workflow(&announce.workflow);
+        let payload: Arc<[u8]> =
+            WireMsg::Workflow { id: announce.id, name: announce.name.clone(), dag }.encode().into();
         // Holding `announced` across the broadcast closes the race with
         // a concurrent Hello replay: a late-joining worker either shows
         // up in `conns` here, or snapshots this workflow from
         // `announced` — never neither.
         let mut announced = self.inner.announced.lock();
         for conn in self.inner.conns.lock().values() {
-            conn.send(&msg);
+            conn.out.publish(Outbound::Shared(Arc::clone(&payload)));
         }
         announced.push(announce);
     }
@@ -302,7 +403,7 @@ impl MasterInner {
         let conns = self.conns.lock();
         for conn in conns.values() {
             if conn.serves(shard) && conn.window.try_acquire() {
-                conn.send(&WireMsg::Dispatch(dispatch));
+                conn.send(WireMsg::Dispatch(dispatch));
                 return true;
             }
         }
@@ -336,11 +437,11 @@ impl MasterInner {
                     continue;
                 }
                 let run = &batch[sent..sent + granted];
-                if granted == 1 {
-                    conn.send(&WireMsg::Dispatch(run[0]));
+                conn.send(if granted == 1 {
+                    WireMsg::Dispatch(run[0])
                 } else {
-                    conn.send(&WireMsg::DispatchBatch(run.to_vec()));
-                }
+                    WireMsg::DispatchBatch(run.to_vec())
+                });
                 sent += granted;
             }
         }
@@ -383,12 +484,17 @@ impl MasterInner {
             batch.clear();
             batch.extend(pending.range(i..i + take).map(|&(_, d)| d));
             let sent = self.try_send_batch(shard, &mut batch);
-            for _ in 0..sent {
-                pending.remove(i);
-            }
+            pending.drain(i..i + sent);
             // Unsent leftovers mean this shard's connections are out of
             // credit; skip past the run and try the next shard's.
             i += (j - i) - sent;
+        }
+    }
+
+    /// Hand a read burst's acks to the serve loop in one publish.
+    fn publish_acks(&self, acks: &mut Vec<AckMsg>) {
+        if !acks.is_empty() {
+            self.ack.publish_all(acks.drain(..));
         }
     }
 
@@ -429,8 +535,10 @@ fn serve_conn(inner: Arc<MasterInner>, stream: TcpStream) {
         Ok(s) => s,
         Err(_) => return,
     });
-    let hello = match read_frame(&mut reader, inner.max_frame) {
-        Ok(Some(frame)) => match WireMsg::decode(&frame) {
+    // One frame buffer per connection, reused for every frame it reads.
+    let mut frame = Vec::new();
+    let hello = match read_frame(&mut reader, inner.max_frame, &mut frame) {
+        Ok(true) => match WireMsg::decode(&frame) {
             Ok(msg) => msg,
             Err(e) => {
                 eprintln!("dewe-master: rejecting connection: {e}");
@@ -442,9 +550,9 @@ fn serve_conn(inner: Arc<MasterInner>, stream: TcpStream) {
     match hello {
         WireMsg::Hello { worker, generation, shard, window } => {
             let _ = (worker, generation); // liveness identity arrives via Lifecycle frames
-            worker_conn_loop(inner, stream, reader, shard, window);
+            worker_conn_loop(inner, stream, reader, frame, shard, window);
         }
-        WireMsg::SubmitterHello => submitter_conn_loop(inner, reader),
+        WireMsg::SubmitterHello => submitter_conn_loop(inner, reader, frame),
         other => {
             eprintln!("dewe-master: unexpected handshake {other:?}; dropping connection");
         }
@@ -455,6 +563,7 @@ fn worker_conn_loop(
     inner: Arc<MasterInner>,
     stream: TcpStream,
     mut reader: BufReader<TcpStream>,
+    mut frame: Vec<u8>,
     shard: Option<u32>,
     window: u32,
 ) {
@@ -469,17 +578,13 @@ fn worker_conn_loop(
     });
     let id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
 
-    // Writer thread: drains the out topic onto the socket.
+    // Writer thread: drains the out topic onto the socket in bursts. A
+    // failed write ends it; the reader notices the dead socket too.
     let writer_conn = Arc::clone(&conn);
     let writer = std::thread::Builder::new()
         .name("dewe-master-conn-writer".into())
         .spawn(move || {
-            let mut w = BufWriter::new(stream);
-            while let Some(frame) = writer_conn.out.pull() {
-                if write_frame(&mut w, &frame).is_err() {
-                    break;
-                }
-            }
+            let _ = pump(&writer_conn.out, &mut BurstWriter::new(stream), || true);
         })
         .expect("spawn conn writer");
 
@@ -487,7 +592,7 @@ fn worker_conn_loop(
     {
         let announced = inner.announced.lock();
         for a in announced.iter() {
-            conn.send(&WireMsg::Workflow {
+            conn.send(WireMsg::Workflow {
                 id: a.id,
                 name: a.name.clone(),
                 dag: write_workflow(&a.workflow),
@@ -497,17 +602,18 @@ fn worker_conn_loop(
     }
     inner.drain_pending();
 
-    // Credits refunded since the last pending-queue drain. Refunds are
-    // coalesced per read burst: a flood of terminal acks sitting in the
-    // read buffer releases all its credit *before* the drain runs, so a
-    // deep dispatch backlog leaves as one DispatchBatch frame instead
+    // Acks read and credits refunded since the burst was last settled.
+    // Both are coalesced per read burst: a flood of acks sitting in the
+    // read buffer reaches the serve loop in one `publish_all`, and
+    // releases all its credit *before* the pending-queue drain runs, so
+    // a deep dispatch backlog leaves as one DispatchBatch frame instead
     // of one frame per ack.
-    let mut refunds = 0u32;
+    let mut acks = Vec::new();
+    let mut refunds = 0usize;
     while !inner.stop.load(Ordering::Relaxed) {
-        let frame = match read_frame(&mut reader, inner.max_frame) {
-            Ok(Some(f)) => f,
-            _ => break,
-        };
+        if !next_frame(&mut reader, inner.max_frame, &mut frame) {
+            break;
+        }
         match WireMsg::decode(&frame) {
             Ok(WireMsg::Ack(ack)) => {
                 // Terminal acks settle a dispatch: refund the credit
@@ -516,9 +622,13 @@ fn worker_conn_loop(
                     conn.window.release();
                     refunds += 1;
                 }
-                inner.ack.publish(ack);
+                acks.push(ack);
             }
-            Ok(WireMsg::Lifecycle(msg)) => inner.lifecycle.publish(msg),
+            Ok(WireMsg::Lifecycle(msg)) => {
+                // Acks read before a lifecycle frame stay ahead of it.
+                inner.publish_acks(&mut acks);
+                inner.lifecycle.publish(msg);
+            }
             Ok(WireMsg::Return(d)) => {
                 // A stopping worker hands back an unstarted checkout:
                 // refund and redeliver to whoever has credit.
@@ -538,14 +648,19 @@ fn worker_conn_loop(
                 break;
             }
         }
-        // Drain once the read buffer empties (the burst is over and the
-        // next read would block) — or every 64 refunds, so a sustained
-        // ack flood cannot starve the pending queue indefinitely.
-        if refunds > 0 && (refunds >= 64 || reader.buffer().is_empty()) {
-            inner.drain_pending();
-            refunds = 0;
+        // Settle once the read buffer empties (the burst is over and the
+        // next read would block) — or every SETTLE_EVERY acks, so a
+        // sustained flood cannot starve the serve loop or the pending
+        // queue indefinitely.
+        if reader.buffer().is_empty() || acks.len() >= SETTLE_EVERY || refunds >= SETTLE_EVERY {
+            inner.publish_acks(&mut acks);
+            if refunds > 0 {
+                inner.drain_pending();
+                refunds = 0;
+            }
         }
     }
+    inner.publish_acks(&mut acks);
     inner.remove_conn(id);
     if refunds > 0 {
         // The socket closed mid-burst (a stopping worker sends its
@@ -563,12 +678,15 @@ fn worker_conn_loop(
     let _ = conn.stream.shutdown(std::net::Shutdown::Both);
 }
 
-fn submitter_conn_loop(inner: Arc<MasterInner>, mut reader: BufReader<TcpStream>) {
+fn submitter_conn_loop(
+    inner: Arc<MasterInner>,
+    mut reader: BufReader<TcpStream>,
+    mut frame: Vec<u8>,
+) {
     while !inner.stop.load(Ordering::Relaxed) {
-        let frame = match read_frame(&mut reader, inner.max_frame) {
-            Ok(Some(f)) => f,
-            _ => break,
-        };
+        if !next_frame(&mut reader, inner.max_frame, &mut frame) {
+            break;
+        }
         match WireMsg::decode(&frame) {
             Ok(WireMsg::Submit { name, dag }) => match parse_workflow(&dag) {
                 Ok(wf) => {
@@ -635,9 +753,13 @@ struct WorkerInner {
     registry: Registry,
     /// Dispatches delivered by the master, pulled by the slot loops.
     dispatch_in: Topic<DispatchMsg>,
-    /// Frames to send; survives reconnects, so acks and heartbeats
+    /// Messages to send; survives reconnects, so acks and heartbeats
     /// produced during a master outage are delivered after failover.
-    outbound: Topic<Vec<u8>>,
+    outbound: Topic<Outbound>,
+    /// Whole frames a failed burst did not deliver. The next connection
+    /// sends them first, ahead of anything published since, so the
+    /// master sees this worker's messages in publish order.
+    unsent: Mutex<Vec<u8>>,
     stop: AtomicBool,
     /// The master said Bye: don't reconnect, the ensemble is done.
     bye: AtomicBool,
@@ -673,6 +795,7 @@ impl TcpWorkerLink {
             registry,
             dispatch_in: Topic::default(),
             outbound: Topic::default(),
+            unsent: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             bye: AtomicBool::new(false),
             current: Mutex::new(None),
@@ -726,15 +849,15 @@ impl WorkerTransport for TcpWorkerLink {
     fn redeliver(&self, dispatch: DispatchMsg) {
         // Over the wire the checkout goes back to the master, which
         // refunds the window credit and redelivers elsewhere.
-        self.inner.outbound.publish(WireMsg::Return(dispatch).encode());
+        self.inner.outbound.publish(Outbound::Msg(WireMsg::Return(dispatch)));
     }
 
     fn publish_ack(&self, ack: AckMsg) {
-        self.inner.outbound.publish(WireMsg::Ack(ack).encode());
+        self.inner.outbound.publish(Outbound::Msg(WireMsg::Ack(ack)));
     }
 
     fn publish_lifecycle(&self, msg: LifecycleMsg) {
-        self.inner.outbound.publish(WireMsg::Lifecycle(msg).encode());
+        self.inner.outbound.publish(Outbound::Msg(WireMsg::Lifecycle(msg)));
     }
 }
 
@@ -774,12 +897,16 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
     *inner.current.lock() = Some(stream);
 
     // Handshake, then hand the socket to the writer thread.
-    let hello = WireMsg::Hello {
-        worker: inner.opts.worker_id,
-        generation: inner.opts.generation,
-        shard: inner.opts.shard,
-        window: inner.opts.window,
-    };
+    let mut hello = Vec::new();
+    push_frame(&mut hello, |buf| {
+        WireMsg::Hello {
+            worker: inner.opts.worker_id,
+            generation: inner.opts.generation,
+            shard: inner.opts.shard,
+            window: inner.opts.window,
+        }
+        .encode_into(buf)
+    });
     let conn_dead = Arc::new(AtomicBool::new(false));
     let writer = {
         let inner = Arc::clone(inner);
@@ -787,32 +914,26 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
         std::thread::Builder::new()
             .name("dewe-worker-link-writer".into())
             .spawn(move || {
-                let mut w = BufWriter::new(write_half);
-                if write_frame(&mut w, &hello.encode()).is_err() {
+                if (&write_half).write_all(&hello).is_err() {
                     dead.store(true, Ordering::Relaxed);
                     return;
                 }
-                while !dead.load(Ordering::Relaxed) {
-                    let Some(frame) = inner.outbound.pull_timeout(IO_TICK) else {
-                        if inner.outbound.is_closed() {
-                            break;
-                        }
-                        continue;
-                    };
-                    if write_frame(&mut w, &frame).is_err() {
-                        // Requeue: acks produced during a master outage
-                        // must survive to the next connection.
-                        inner.outbound.publish(frame);
-                        dead.store(true, Ordering::Relaxed);
-                        break;
-                    }
+                // Acks produced during a master outage wait in the
+                // outbound topic; frames a failed burst did not deliver
+                // wait in `unsent` and go out first.
+                let carried = std::mem::take(&mut *inner.unsent.lock());
+                let mut w = BurstWriter::resume(write_half, carried);
+                if pump(&inner.outbound, &mut w, || !dead.load(Ordering::Relaxed)).is_err() {
+                    dead.store(true, Ordering::Relaxed);
                 }
+                *inner.unsent.lock() = w.into_unsent();
             })
             .expect("spawn link writer")
     };
 
     let mut reader = BufReader::new(read_half);
-    while let Ok(Some(frame)) = read_frame(&mut reader, inner.opts.max_frame) {
+    let mut frame = Vec::new();
+    while next_frame(&mut reader, inner.opts.max_frame, &mut frame) {
         match WireMsg::decode(&frame) {
             Ok(WireMsg::Workflow { id, name, dag }) => match parse_workflow(&dag) {
                 Ok(wf) => {
@@ -826,13 +947,9 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
                 Err(e) => eprintln!("dewe-worker: bad workflow {id:?} from master: {e}"),
             },
             Ok(WireMsg::Dispatch(d)) => inner.dispatch_in.publish(d),
-            Ok(WireMsg::DispatchBatch(batch)) => {
-                // Explode in order: the slot loops pull per-job exactly
-                // as if the run had arrived as individual frames.
-                for d in batch {
-                    inner.dispatch_in.publish(d);
-                }
-            }
+            // Explode in order, in one publish: the slot loops pull
+            // per-job exactly as if the run had arrived as single frames.
+            Ok(WireMsg::DispatchBatch(batch)) => inner.dispatch_in.publish_all(batch),
             Ok(WireMsg::Bye) => {
                 inner.bye.store(true, Ordering::Relaxed);
                 break;
@@ -868,11 +985,11 @@ pub fn submit_over_tcp(
 ) -> io::Result<()> {
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
-    let mut w = BufWriter::new(stream);
-    write_frame(&mut w, &WireMsg::SubmitterHello.encode())?;
+    let mut w = BurstWriter::new(stream);
+    w.push(|buf| WireMsg::SubmitterHello.encode_into(buf));
     let msg = WireMsg::Submit { name: name.into(), dag: write_workflow(workflow) };
-    write_frame(&mut w, &msg.encode())?;
-    w.flush()
+    w.push(|buf| msg.encode_into(buf));
+    w.write_burst()
 }
 
 // ---------------------------------------------------------------------------
@@ -941,6 +1058,7 @@ pub fn load_spool(dir: &Path) -> io::Result<Vec<(WorkflowId, String, Arc<Workflo
 mod tests {
     use super::*;
     use dewe_dag::WorkflowBuilder;
+    use proptest::prelude::*;
 
     fn wf(name: &str, jobs: usize) -> Arc<Workflow> {
         let mut b = WorkflowBuilder::new(name);
@@ -1210,6 +1328,154 @@ mod tests {
     }
 
     #[test]
+    fn acks_across_a_master_restart_arrive_in_publish_order() {
+        // The first master takes the Hello and then stops reading, as a
+        // wedged process would, until the link's writer blocks mid-burst
+        // with acks queued behind it. Killing that master resets the
+        // connection under the blocked write. Acks lost in the dead
+        // socket's buffers are allowed; reordering is not: the failed
+        // burst's unsent frames must reach the restarted master ahead of
+        // everything queued after them.
+        let wedged = bind_reuse("127.0.0.1:0").unwrap();
+        let addr = wedged.local_addr().unwrap();
+        let link = TcpWorkerLink::connect(
+            addr,
+            Registry::new(),
+            TcpWorkerOptions {
+                retry_interval: Duration::from_millis(20),
+                ..TcpWorkerOptions::default()
+            },
+        )
+        .unwrap();
+        let (mut conn, _) = wedged.accept().unwrap();
+        let mut frame = Vec::new();
+        assert!(read_frame(&mut conn, DEFAULT_MAX_FRAME, &mut frame).unwrap(), "hello");
+
+        let job = dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(0));
+        let mut seq = 0u32;
+        let mut publish = |n: u32| {
+            for _ in 0..n {
+                link.publish_ack(AckMsg::new(job, 0, AckKind::Running, seq));
+                seq += 1;
+            }
+        };
+        // Publish until the socket buffers are full: the writer is stuck
+        // in a write and the queue behind it stops draining.
+        let outbound = &link.inner.outbound;
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        loop {
+            publish(4096);
+            let queued = outbound.len();
+            std::thread::sleep(Duration::from_millis(20));
+            if queued > 0 && outbound.len() == queued {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "writer never blocked");
+        }
+        // Kill: closing with unread data resets the connection.
+        drop(conn);
+        drop(wedged);
+        let master = TcpMaster::bind(addr, TcpMasterOptions::default()).unwrap();
+        publish(100);
+        let last = seq - 1;
+
+        let mut seqs = Vec::new();
+        while seqs.last() != Some(&last) {
+            let ack = master.pull_ack(Duration::from_secs(10)).expect("acks after restart");
+            seqs.push(ack.attempt);
+        }
+        if let Some(w) = seqs.windows(2).find(|w| w[0] >= w[1]) {
+            panic!("ack {} arrived after ack {}", w[1], w[0]);
+        }
+        master.shutdown();
+        link.close();
+    }
+
+    /// A stream that takes at most `chunk` bytes per write call.
+    struct Trickle {
+        out: Vec<u8>,
+        chunk: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.chunk);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn outbound() -> impl Strategy<Value = Outbound> {
+        let job = || {
+            (0u32..64, 0u32..10_000)
+                .prop_map(|(w, j)| dewe_dag::EnsembleJobId::new(WorkflowId(w), dewe_dag::JobId(j)))
+        };
+        let dispatch = move || (job(), 1u32..4).prop_map(|(j, a)| DispatchMsg::new(j, a));
+        prop_oneof![
+            dispatch().prop_map(|d| Outbound::Msg(WireMsg::Dispatch(d))),
+            prop::collection::vec(dispatch(), 0..300)
+                .prop_map(|b| Outbound::Msg(WireMsg::DispatchBatch(b))),
+            (job(), 0u32..4, 1u32..4).prop_map(|(j, w, a)| {
+                Outbound::Msg(WireMsg::Ack(AckMsg::new(j, w, AckKind::Completed, a)))
+            }),
+            dispatch().prop_map(|d| Outbound::Msg(WireMsg::Return(d))),
+            // Announcements straddle BURST_BYTES, forcing mid-queue writes.
+            (0u32..64, 0usize..BURST_BYTES + BURST_BYTES / 2).prop_map(|(id, n)| {
+                let dag = "x".repeat(n);
+                let msg = WireMsg::Workflow { id: WorkflowId(id), name: "w".into(), dag };
+                Outbound::Shared(msg.encode().into())
+            }),
+            Just(WireMsg::Bye).prop_map(Outbound::Msg),
+        ]
+    }
+
+    #[test]
+    fn reader_frame_buffer_gives_back_a_large_frames_capacity() {
+        let mut stream = Vec::new();
+        push_frame(&mut stream, |b| b.resize(b.len() + 4 * FRAME_RETAIN, 1));
+        push_frame(&mut stream, |b| b.push(2));
+        let mut r = stream.as_slice();
+        let mut frame = Vec::new();
+        assert!(next_frame(&mut r, DEFAULT_MAX_FRAME, &mut frame));
+        assert_eq!(frame.len(), 4 * FRAME_RETAIN);
+        assert!(next_frame(&mut r, DEFAULT_MAX_FRAME, &mut frame));
+        assert_eq!(frame, [2]);
+        assert!(frame.capacity() < 4 * FRAME_RETAIN, "capacity {}", frame.capacity());
+        assert!(!next_frame(&mut r, DEFAULT_MAX_FRAME, &mut frame), "clean end of stream");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn writer_stream_is_per_message_framing(
+            msgs in prop::collection::vec(outbound(), 0..40),
+            chunk in 1usize..100_000,
+        ) {
+            // The connection writer's bytes must equal each message's
+            // payload behind its own length prefix, in publish order —
+            // the stream a per-frame writer produced.
+            let out = Topic::new();
+            let mut expected = Vec::new();
+            for msg in msgs {
+                let mut payload = Vec::new();
+                msg.encode_into(&mut payload);
+                expected.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+                expected.extend_from_slice(&payload);
+                out.publish(msg);
+            }
+            out.close();
+            let mut sink = Trickle { out: Vec::new(), chunk };
+            pump(&out, &mut BurstWriter::new(&mut sink), || true).unwrap();
+            prop_assert_eq!(sink.out, expected);
+        }
+    }
+
+    #[test]
     fn version_skew_drops_the_connection_loudly() {
         use std::io::Write as _;
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
@@ -1219,7 +1485,7 @@ mod tests {
             WireMsg::Hello { worker: 0, generation: 0, shard: None, window: 1 }.encode();
         frame[0] = crate::protocol::PROTOCOL_VERSION + 1;
         let mut buf = Vec::new();
-        write_frame(&mut buf, &frame).unwrap();
+        push_frame(&mut buf, |b| b.extend_from_slice(&frame));
         stream.write_all(&buf).unwrap();
         stream.flush().unwrap();
         // The master must close the connection without registering it.

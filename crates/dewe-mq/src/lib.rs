@@ -40,7 +40,7 @@ pub use chaos::{
     ChaosBus, ChaosConfig, ChaosDecider, ChaosEvent, ChaosSchedule, ChaosStats, ChaosTopic,
     ChaosTrace, Fault,
 };
-pub use frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+pub use frame::{push_frame, read_frame, BurstWriter, DEFAULT_MAX_FRAME};
 pub use listen::bind_reuse;
 pub use reliable::{Delivery, LeaseId, ReliableTopic};
 pub use topic::{Topic, TopicStats};
