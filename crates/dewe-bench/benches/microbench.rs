@@ -51,6 +51,18 @@ fn bench_dag(c: &mut Criterion) {
         b.iter(|| dewe_dag::parse_workflow(&text).unwrap())
     });
     g.finish();
+
+    // The text codec at paper scale: every workflow crosses the TCP
+    // runtime as text, written twice and parsed once per process.
+    let mut g = c.benchmark_group("dag_text");
+    let wf = montage(6.0);
+    g.throughput(Throughput::Elements(wf.job_count() as u64));
+    g.bench_function("write_text_format_6deg", |b| b.iter(|| dewe_dag::write_workflow(&wf)));
+    let text = dewe_dag::write_workflow(&wf);
+    g.bench_function("parse_text_format_6deg", |b| {
+        b.iter(|| dewe_dag::parse_workflow(&text).unwrap())
+    });
+    g.finish();
 }
 
 fn bench_mq(c: &mut Criterion) {

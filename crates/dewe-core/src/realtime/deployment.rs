@@ -199,7 +199,7 @@ impl Deployment {
 mod tests {
     use super::*;
     use crate::realtime::NoopRunner;
-    use dewe_dag::WorkflowBuilder;
+    use dewe_dag::{WorkflowBuilder, WorkflowId};
 
     fn tiny(n: usize) -> Arc<Workflow> {
         let mut b = WorkflowBuilder::new(format!("t{n}"));
@@ -226,20 +226,29 @@ mod tests {
     #[test]
     fn interval_submission_orders_submissions() {
         let d = Deployment::builder().workers(1).expected_workflows(3).start(Arc::new(NoopRunner));
-        let wfs = (0..3).map(|i| (format!("w{i}"), tiny(2))).collect::<Vec<_>>();
+        let wfs = (1..=3).map(|n| (format!("w{n}"), tiny(n))).collect::<Vec<_>>();
         let submitter = d.submit_with_interval(wfs, Duration::from_millis(30));
-        // Completion events arrive in submission order (tiny workflows
-        // finish well within the interval).
-        let mut seen = Vec::new();
+        // Every submission completes. Completion order is up to the
+        // scheduler (a workflow's jobs can finish after the next one's),
+        // so it is checked as a set.
+        let mut seen = std::collections::BTreeSet::new();
         while seen.len() < 3 {
             match d.next_event(Duration::from_secs(30)).expect("event") {
-                MasterEvent::WorkflowCompleted { workflow, .. } => seen.push(workflow.index()),
+                MasterEvent::WorkflowCompleted { workflow, .. } => {
+                    assert!(seen.insert(workflow.index()), "{workflow:?} completed twice");
+                }
                 MasterEvent::AllCompleted { .. } => break,
                 other => panic!("unexpected event: {other:?}"),
             }
         }
-        assert_eq!(seen, vec![0, 1, 2]);
+        assert_eq!(seen, [0, 1, 2].into());
         submitter.join().unwrap();
+        // Ids are assigned in submission order: id i is the (i+1)-th
+        // workflow submitted.
+        for (id, name) in ["t1", "t2", "t3"].into_iter().enumerate() {
+            let wf = d.registry().get(WorkflowId(id as u32)).expect("registered");
+            assert_eq!(wf.name(), name);
+        }
         let stats = d.join();
         assert_eq!(stats.workflows_completed, 3);
     }

@@ -57,7 +57,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -243,7 +243,6 @@ impl TcpMaster {
             std::fs::create_dir_all(dir)?;
         }
         let listener = bind_reuse(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let inner = Arc::new(MasterInner {
             local_addr,
@@ -316,6 +315,16 @@ impl TcpMaster {
         inner.ack.close();
         inner.lifecycle.close();
         if let Some(t) = inner.accept_thread.lock().take() {
+            // Wake the blocking accept with a connection of our own; the
+            // accept loop sees `stop` and returns.
+            let mut wake = inner.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = t.join();
         }
     }
@@ -366,8 +375,11 @@ impl Transport for TcpMaster {
     }
 
     fn announce(&self, announce: WorkflowAnnounce) {
+        // Serialize and encode the announcement once; the spool and every
+        // connection share the text.
+        let dag = write_workflow(&announce.workflow);
         if let Some(dir) = &self.inner.state_dir {
-            if let Err(e) = spool_workflow(dir, &announce) {
+            if let Err(e) = spool_workflow(dir, announce.id, &announce.name, &dag) {
                 eprintln!(
                     "dewe-master: failed to spool workflow {} to {}: {e}",
                     announce.id.0,
@@ -375,9 +387,6 @@ impl Transport for TcpMaster {
                 );
             }
         }
-        // Encode the announcement once; every connection shares the
-        // bytes.
-        let dag = write_workflow(&announce.workflow);
         let payload: Arc<[u8]> =
             WireMsg::Workflow { id: announce.id, name: announce.name.clone(), dag }.encode().into();
         // Holding `announced` across the broadcast closes the race with
@@ -510,20 +519,18 @@ impl MasterInner {
     }
 }
 
+/// Accept connections as they arrive: a blocking accept, so a worker's
+/// Hello is read at once rather than on the next poll. `stop` wakes it.
 fn accept_loop(inner: Arc<MasterInner>, listener: std::net::TcpListener) {
-    while !inner.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_inner = Arc::clone(&inner);
-                let _ = std::thread::Builder::new()
-                    .name("dewe-master-conn".into())
-                    .spawn(move || serve_conn(conn_inner, stream));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(IO_TICK);
-            }
-            Err(_) => break,
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else { break };
+        if inner.stop.load(Ordering::SeqCst) {
+            break;
         }
+        let conn_inner = Arc::clone(&inner);
+        let _ = std::thread::Builder::new()
+            .name("dewe-master-conn".into())
+            .spawn(move || serve_conn(conn_inner, stream));
     }
 }
 
@@ -997,16 +1004,16 @@ pub fn submit_over_tcp(
 // ---------------------------------------------------------------------------
 
 /// Write one announced workflow to `dir/wf-<id>.dag`: the name on the
-/// first line, the DAG text after it. Atomic via rename, so a crash
-/// mid-write never leaves a torn spool entry.
-pub fn spool_workflow(dir: &Path, announce: &WorkflowAnnounce) -> io::Result<()> {
-    let final_path = dir.join(format!("wf-{:08}.dag", announce.id.0));
-    let tmp_path = dir.join(format!(".wf-{:08}.dag.tmp", announce.id.0));
-    let mut content = String::with_capacity(announce.name.len() + 1);
-    content.push_str(&announce.name);
-    content.push('\n');
-    content.push_str(&write_workflow(&announce.workflow));
-    std::fs::write(&tmp_path, content)?;
+/// first line, the DAG text (`write_workflow`'s output) after it. Atomic
+/// via rename, so a crash mid-write never leaves a torn spool entry.
+pub fn spool_workflow(dir: &Path, id: WorkflowId, name: &str, dag: &str) -> io::Result<()> {
+    let final_path = dir.join(format!("wf-{:08}.dag", id.0));
+    let tmp_path = dir.join(format!(".wf-{:08}.dag.tmp", id.0));
+    let mut file = std::fs::File::create(&tmp_path)?;
+    file.write_all(name.as_bytes())?;
+    file.write_all(b"\n")?;
+    file.write_all(dag.as_bytes())?;
+    drop(file);
     std::fs::rename(&tmp_path, &final_path)
 }
 
@@ -1074,12 +1081,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         for i in 0..3u32 {
-            let a = WorkflowAnnounce {
-                id: WorkflowId(i),
-                name: format!("w{i}"),
-                workflow: wf(&format!("w{i}"), 2),
-            };
-            spool_workflow(&dir, &a).unwrap();
+            let dag = write_workflow(&wf(&format!("w{i}"), 2));
+            spool_workflow(&dir, WorkflowId(i), &format!("w{i}"), &dag).unwrap();
         }
         let loaded = load_spool(&dir).unwrap();
         assert_eq!(loaded.len(), 3);

@@ -198,7 +198,7 @@ pub fn write_dax(wf: &Workflow) -> String {
     let mut out = String::new();
     let _ = writeln!(out, r#"<?xml version="1.0" encoding="UTF-8"?>"#);
     let _ = writeln!(out, r#"<adag name="{}">"#, escape(wf.name()));
-    for (ji, j) in wf.jobs().iter().enumerate() {
+    for j in wf.jobs() {
         let _ = writeln!(
             out,
             r#"  <job id="{}" name="{}" runtime="{}">"#,
@@ -225,25 +225,15 @@ pub fn write_dax(wf: &Workflow) -> String {
             );
         }
         let _ = writeln!(out, "  </job>");
-        let _ = ji;
     }
     // Control edges not implied by data flow.
-    for j in wf.job_ids() {
-        let mut emitted = false;
-        for &c in wf.children(j) {
-            let implied = wf.job(c).inputs.iter().any(|&f| wf.producer(f) == Some(j));
-            if !implied {
-                if !emitted {
-                    emitted = true;
-                }
-                let _ = writeln!(
-                    out,
-                    r#"  <child ref="{}"><parent ref="{}"/></child>"#,
-                    escape(&wf.job(c).name),
-                    escape(&wf.job(j).name)
-                );
-            }
-        }
+    for (p, c) in wf.explicit_edges() {
+        let _ = writeln!(
+            out,
+            r#"  <child ref="{}"><parent ref="{}"/></child>"#,
+            escape(&wf.job(c).name),
+            escape(&wf.job(p).name)
+        );
     }
     out.push_str("</adag>\n");
     out

@@ -24,172 +24,171 @@
 //! * `PARENT a... CHILD b...` — explicit precedence (DAGMan syntax: full
 //!   bipartite product of the two lists).
 //!
-//! [`parse_workflow`] and [`write_workflow`] round-trip: parsing the output
-//! of `write_workflow` reproduces an equivalent workflow (asserted by
-//! property tests).
+//! Statements may appear in any order: wiring (`INPUT`, `OUTPUT`, `PARENT`)
+//! may name jobs and files declared further down. Tokens split on Unicode
+//! whitespace; directives and keywords match ASCII case-insensitively.
+//! [`parse_workflow`] makes one pass and defers only the wiring lines;
+//! [`write_workflow`] is linear in the size of the workflow. The two
+//! round-trip (asserted by property tests).
+
+use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use crate::error::DagError;
+use crate::file::FileSpec;
 use crate::ids::{FileId, JobId};
-use crate::workflow::{Workflow, WorkflowBuilder};
+use crate::job::JobSpec;
+use crate::workflow::Workflow;
 
 /// Parse a workflow from the text format.
 pub fn parse_workflow(text: &str) -> Result<Workflow, DagError> {
-    let mut name = String::from("workflow");
-    // Deferred statements: we must declare all FILEs/JOBs before wiring, but
-    // the format allows any order. So do two passes.
-    let mut decls: Vec<(usize, Vec<&str>)> = Vec::new();
+    let mut name = "workflow";
+    let mut jobs: Vec<JobSpec> = Vec::new();
+    let mut files: Vec<FileSpec> = Vec::new();
+    // Keyed with the default `RandomState`: names come from untrusted
+    // submitters, and an unkeyed hasher would let them flood one bucket.
+    let mut job_ids: HashMap<&str, JobId> = HashMap::new();
+    let mut file_ids: HashMap<&str, FileId> = HashMap::new();
+    let mut wiring: Vec<(usize, &str)> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        decls.push((lineno + 1, toks));
-    }
-
-    // Pass 0: pick up the workflow name first so the builder is named.
-    for (line, toks) in &decls {
-        if toks[0].eq_ignore_ascii_case("WORKFLOW") {
-            if toks.len() != 2 {
-                return Err(err(*line, "WORKFLOW takes exactly one name"));
+        let lineno = lineno + 1;
+        let mut toks = line.split_whitespace();
+        let directive = toks.next().unwrap_or_default();
+        if directive.eq_ignore_ascii_case("FILE") {
+            let (Some(fname), Some(size), initial, None) =
+                (toks.next(), toks.next(), toks.next(), toks.next())
+            else {
+                return Err(err(lineno, "FILE <name> <size_bytes> [INITIAL]"));
+            };
+            let size: u64 = size.parse().map_err(|_| err(lineno, &format!("bad size `{size}`")))?;
+            let initial = match initial {
+                None => false,
+                Some(t) if t.eq_ignore_ascii_case("INITIAL") => true,
+                Some(t) => return Err(err(lineno, &format!("unexpected token `{t}`"))),
+            };
+            if file_ids.insert(fname, FileId::from_index(files.len())).is_some() {
+                return Err(DagError::DuplicateName(fname.to_string()));
             }
-            name = toks[1].to_string();
-        }
-    }
-    let mut b = WorkflowBuilder::new(name);
-
-    // Pass 1: FILE and JOB declarations.
-    for (line, toks) in &decls {
-        match toks[0].to_ascii_uppercase().as_str() {
-            "FILE" => {
-                if toks.len() < 3 || toks.len() > 4 {
-                    return Err(err(*line, "FILE <name> <size_bytes> [INITIAL]"));
-                }
-                let size: u64 =
-                    toks[2].parse().map_err(|_| err(*line, &format!("bad size `{}`", toks[2])))?;
-                let initial = match toks.get(3) {
-                    None => false,
-                    Some(t) if t.eq_ignore_ascii_case("INITIAL") => true,
-                    Some(t) => return Err(err(*line, &format!("unexpected token `{t}`"))),
-                };
-                b.file(toks[1], size, initial);
-            }
-            "JOB" => {
-                if toks.len() < 5 || !toks[3].eq_ignore_ascii_case("CPU") {
-                    return Err(err(*line, "JOB <name> <xform> CPU <secs> [CORES n] [TIMEOUT s]"));
-                }
-                let cpu: f64 = toks[4]
-                    .parse()
-                    .map_err(|_| err(*line, &format!("bad cpu seconds `{}`", toks[4])))?;
-                let mut jb = b.job(toks[1], toks[2], cpu);
-                let mut i = 5;
-                while i < toks.len() {
-                    match toks[i].to_ascii_uppercase().as_str() {
-                        "CORES" => {
-                            let v = toks
-                                .get(i + 1)
-                                .and_then(|t| t.parse::<u32>().ok())
-                                .ok_or_else(|| err(*line, "CORES needs an integer"))?;
-                            jb = jb.cores(v);
-                            i += 2;
-                        }
-                        "TIMEOUT" => {
-                            let v = toks
-                                .get(i + 1)
-                                .and_then(|t| t.parse::<f64>().ok())
-                                .ok_or_else(|| err(*line, "TIMEOUT needs seconds"))?;
-                            jb = jb.timeout_secs(v);
-                            i += 2;
-                        }
-                        other => return Err(err(*line, &format!("unexpected token `{other}`"))),
-                    }
-                }
-                jb.build();
-            }
-            "WORKFLOW" | "INPUT" | "OUTPUT" | "PARENT" => {}
-            other => return Err(err(*line, &format!("unknown directive `{other}`"))),
-        }
-    }
-
-    // Pass 2: wiring. The builder API attaches inputs/outputs at job build
-    // time, so wiring statements are recorded through a small patch list and
-    // applied via a rebuilt builder. Instead, keep it simple: collect
-    // (job, files) pairs here and rebuild specs below.
-    let mut input_patches: Vec<(JobId, Vec<FileId>)> = Vec::new();
-    let mut output_patches: Vec<(JobId, Vec<FileId>)> = Vec::new();
-    let mut edges: Vec<(JobId, JobId)> = Vec::new();
-    for (line, toks) in &decls {
-        match toks[0].to_ascii_uppercase().as_str() {
-            "INPUT" | "OUTPUT" => {
-                if toks.len() < 3 {
-                    return Err(err(*line, "INPUT/OUTPUT <job> <file>..."));
-                }
-                let job =
-                    b.job_id(toks[1]).ok_or_else(|| DagError::UnknownName(toks[1].to_string()))?;
-                let mut files = Vec::with_capacity(toks.len() - 2);
-                for t in &toks[2..] {
-                    files
-                        .push(b.file_id(t).ok_or_else(|| DagError::UnknownName((*t).to_string()))?);
-                }
-                if toks[0].eq_ignore_ascii_case("INPUT") {
-                    input_patches.push((job, files));
+            files.push(FileSpec::new(fname, size, initial));
+        } else if directive.eq_ignore_ascii_case("JOB") {
+            let cpu_kw = |t: &&str| t.eq_ignore_ascii_case("CPU");
+            let (Some(jname), Some(xform), Some(_), Some(cpu)) =
+                (toks.next(), toks.next(), toks.next().filter(cpu_kw), toks.next())
+            else {
+                return Err(err(lineno, "JOB <name> <xform> CPU <secs> [CORES n] [TIMEOUT s]"));
+            };
+            let cpu_seconds: f64 =
+                cpu.parse().map_err(|_| err(lineno, &format!("bad cpu seconds `{cpu}`")))?;
+            let mut cores = 1;
+            let mut timeout_secs = None;
+            while let Some(opt) = toks.next() {
+                let value = toks.next();
+                if opt.eq_ignore_ascii_case("CORES") {
+                    let v = value.and_then(|t| t.parse::<u32>().ok());
+                    cores = v.ok_or_else(|| err(lineno, "CORES needs an integer"))?.max(1);
+                } else if opt.eq_ignore_ascii_case("TIMEOUT") {
+                    let v = value.and_then(|t| t.parse().ok());
+                    timeout_secs = Some(v.ok_or_else(|| err(lineno, "TIMEOUT needs seconds"))?);
                 } else {
-                    output_patches.push((job, files));
+                    let opt = opt.to_ascii_uppercase();
+                    return Err(err(lineno, &format!("unexpected token `{opt}`")));
                 }
             }
-            "PARENT" => {
-                let child_pos = toks
-                    .iter()
-                    .position(|t| t.eq_ignore_ascii_case("CHILD"))
-                    .ok_or_else(|| err(*line, "PARENT ... CHILD ..."))?;
-                if child_pos == 1 || child_pos + 1 == toks.len() {
-                    return Err(err(*line, "PARENT needs parents and children"));
-                }
-                let parents: Result<Vec<JobId>, DagError> = toks[1..child_pos]
-                    .iter()
-                    .map(|t| b.job_id(t).ok_or_else(|| DagError::UnknownName((*t).to_string())))
-                    .collect();
-                let children: Result<Vec<JobId>, DagError> = toks[child_pos + 1..]
-                    .iter()
-                    .map(|t| b.job_id(t).ok_or_else(|| DagError::UnknownName((*t).to_string())))
-                    .collect();
-                for &p in &parents? {
-                    for &c in &children.clone()? {
-                        edges.push((p, c));
-                    }
-                }
+            if job_ids.insert(jname, JobId::from_index(jobs.len())).is_some() {
+                return Err(DagError::DuplicateName(jname.to_string()));
             }
-            _ => {}
+            jobs.push(JobSpec {
+                name: jname.to_string(),
+                xform: xform.to_string(),
+                cpu_seconds,
+                cores,
+                inputs: Vec::new(),
+                outputs: Vec::new(),
+                timeout_secs,
+            });
+        } else if directive.eq_ignore_ascii_case("WORKFLOW") {
+            let (Some(wname), None) = (toks.next(), toks.next()) else {
+                return Err(err(lineno, "WORKFLOW takes exactly one name"));
+            };
+            name = wname;
+        } else if ["INPUT", "OUTPUT", "PARENT"].iter().any(|d| directive.eq_ignore_ascii_case(d)) {
+            wiring.push((lineno, line));
+        } else {
+            let directive = directive.to_ascii_uppercase();
+            return Err(err(lineno, &format!("unknown directive `{directive}`")));
         }
     }
 
-    for (job, files) in input_patches {
-        b.patch_job_io(job, &files, true);
+    // Wiring, now that every name is declared.
+    let job_id = |t: &str| job_ids.get(t).copied().ok_or_else(|| DagError::UnknownName(t.into()));
+    let file_id = |t: &str| file_ids.get(t).copied().ok_or_else(|| DagError::UnknownName(t.into()));
+    let mut edges: Vec<(JobId, JobId)> = Vec::new();
+    let mut linked: Vec<JobId> = Vec::new();
+    for (lineno, line) in wiring {
+        let mut toks = line.split_whitespace();
+        let directive = toks.next().unwrap_or_default();
+        if directive.eq_ignore_ascii_case("PARENT") {
+            let Some(n_parents) = toks.clone().position(|t| t.eq_ignore_ascii_case("CHILD")) else {
+                return Err(err(lineno, "PARENT ... CHILD ..."));
+            };
+            if n_parents == 0 || toks.clone().nth(n_parents + 1).is_none() {
+                return Err(err(lineno, "PARENT needs parents and children"));
+            }
+            // Parents, then children, resolved in text order.
+            linked.clear();
+            for (i, t) in toks.enumerate() {
+                if i != n_parents {
+                    linked.push(job_id(t)?);
+                }
+            }
+            let (parents, children) = linked.split_at(n_parents);
+            for &p in parents {
+                edges.extend(children.iter().map(|&c| (p, c)));
+            }
+        } else {
+            let Some(job) = toks.next().filter(|_| toks.clone().next().is_some()) else {
+                return Err(err(lineno, "INPUT/OUTPUT <job> <file>..."));
+            };
+            let spec = &mut jobs[job_id(job)?.index()];
+            let list = if directive.eq_ignore_ascii_case("INPUT") {
+                &mut spec.inputs
+            } else {
+                &mut spec.outputs
+            };
+            list.reserve(toks.clone().count());
+            for t in toks {
+                list.push(file_id(t)?);
+            }
+        }
     }
-    for (job, files) in output_patches {
-        b.patch_job_io(job, &files, false);
-    }
-    for (p, c) in edges {
-        b.edge(p, c);
-    }
-    b.finish()
+    Workflow::from_specs(name.to_string(), jobs, files, edges)
 }
 
 /// Serialize a workflow to the text format.
 pub fn write_workflow(wf: &Workflow) -> String {
-    use std::fmt::Write;
     let mut out = String::new();
-    let _ = writeln!(out, "# generated by dewe-dag");
-    let _ = writeln!(out, "WORKFLOW {}", wf.name());
+    out.push_str("# generated by dewe-dag\nWORKFLOW ");
+    out.push_str(wf.name());
+    out.push('\n');
     for f in wf.files() {
-        let _ = write!(out, "FILE {} {}", f.name, f.size_bytes);
+        out.push_str("FILE ");
+        out.push_str(&f.name);
+        let _ = write!(out, " {}", f.size_bytes);
         if f.initial {
             out.push_str(" INITIAL");
         }
         out.push('\n');
     }
     for j in wf.jobs() {
-        let _ = write!(out, "JOB {} {} CPU {}", j.name, j.xform, j.cpu_seconds);
+        out.push_str("JOB ");
+        out.push_str(&j.name);
+        out.push(' ');
+        out.push_str(&j.xform);
+        let _ = write!(out, " CPU {}", j.cpu_seconds);
         if j.cores != 1 {
             let _ = write!(out, " CORES {}", j.cores);
         }
@@ -198,28 +197,27 @@ pub fn write_workflow(wf: &Workflow) -> String {
         }
         out.push('\n');
     }
+    // Only edges not implied by data flow are stated, to keep files compact.
+    let mut pending = wf.explicit_edges().into_iter().peekable();
     for (ji, j) in wf.jobs().iter().enumerate() {
         let jid = JobId::from_index(ji);
-        if !j.inputs.is_empty() {
-            let _ = write!(out, "INPUT {}", j.name);
-            for &f in &j.inputs {
-                let _ = write!(out, " {}", wf.file(f).name);
+        for (keyword, list) in [("INPUT ", &j.inputs), ("OUTPUT ", &j.outputs)] {
+            if !list.is_empty() {
+                out.push_str(keyword);
+                out.push_str(&j.name);
+                for &f in list {
+                    out.push(' ');
+                    out.push_str(&wf.file(f).name);
+                }
+                out.push('\n');
             }
-            out.push('\n');
         }
-        if !j.outputs.is_empty() {
-            let _ = write!(out, "OUTPUT {}", j.name);
-            for &f in &j.outputs {
-                let _ = write!(out, " {}", wf.file(f).name);
-            }
+        while let Some((_, c)) = pending.next_if(|&(p, _)| p == jid) {
+            out.push_str("PARENT ");
+            out.push_str(&j.name);
+            out.push_str(" CHILD ");
+            out.push_str(&wf.job(c).name);
             out.push('\n');
-        }
-        // Emit only edges not implied by data flow to keep files compact.
-        for &c in wf.children(jid) {
-            let implied = wf.job(c).inputs.iter().any(|&f| wf.producer(f) == Some(jid));
-            if !implied {
-                let _ = writeln!(out, "PARENT {} CHILD {}", j.name, wf.job(c).name);
-            }
         }
     }
     out

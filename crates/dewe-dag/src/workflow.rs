@@ -1,6 +1,6 @@
 //! The immutable, validated workflow DAG and its builder.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::error::DagError;
 use crate::file::FileSpec;
@@ -161,6 +161,32 @@ impl Workflow {
     pub fn file_by_name(&self, name: &str) -> Option<FileId> {
         self.files.iter().position(|f| f.name == name).map(FileId::from_index)
     }
+
+    /// The edges no data flow implies, sorted by `(parent, child)`: the
+    /// ones a writer must state explicitly. Linear in jobs, file uses and
+    /// edges, plus one sort of the data edges.
+    pub(crate) fn explicit_edges(&self) -> Vec<(JobId, JobId)> {
+        let mut data: Vec<(JobId, JobId)> =
+            Vec::with_capacity(self.jobs.iter().map(|j| j.inputs.len()).sum());
+        for (ci, job) in self.jobs.iter().enumerate() {
+            let c = JobId::from_index(ci);
+            data.extend(job.inputs.iter().filter_map(|&f| self.producer(f)).map(|p| (p, c)));
+        }
+        data.sort_unstable();
+        // Children are sorted within each parent's CSR row, so a merge
+        // against the sorted data edges finds the implied ones.
+        let mut data = data.into_iter().peekable();
+        let mut explicit = Vec::new();
+        for p in self.job_ids() {
+            for &c in self.children(p) {
+                while data.next_if(|&d| d < (p, c)).is_some() {}
+                if data.peek() != Some(&(p, c)) {
+                    explicit.push((p, c));
+                }
+            }
+        }
+        explicit
+    }
 }
 
 /// Builder for [`Workflow`].
@@ -174,8 +200,6 @@ pub struct WorkflowBuilder {
     jobs: Vec<JobSpec>,
     files: Vec<FileSpec>,
     explicit_edges: Vec<(JobId, JobId)>,
-    job_names: HashMap<String, JobId>,
-    file_names: HashMap<String, FileId>,
 }
 
 impl WorkflowBuilder {
@@ -189,10 +213,7 @@ impl WorkflowBuilder {
     /// Returns the file id; declaring the same name twice is detected at
     /// [`finish`](Self::finish) time.
     pub fn file(&mut self, name: impl Into<String>, size_bytes: u64, initial: bool) -> FileId {
-        let name = name.into();
         let id = FileId::from_index(self.files.len());
-        // First declaration wins for the name map; duplicates reported in finish().
-        self.file_names.entry(name.clone()).or_insert(id);
         self.files.push(FileSpec::new(name, size_bytes, initial));
         id
     }
@@ -219,20 +240,8 @@ impl WorkflowBuilder {
         }
     }
 
-    /// Attach input or output files to an already-declared job (used by the
-    /// text-format parser, which allows wiring statements in any order).
-    pub(crate) fn patch_job_io(&mut self, job: JobId, files: &[FileId], is_input: bool) {
-        let spec = &mut self.jobs[job.index()];
-        if is_input {
-            spec.inputs.extend_from_slice(files);
-        } else {
-            spec.outputs.extend_from_slice(files);
-        }
-    }
-
     pub(crate) fn push_job(&mut self, spec: JobSpec) -> JobId {
         let id = JobId::from_index(self.jobs.len());
-        self.job_names.entry(spec.name.clone()).or_insert(id);
         self.jobs.push(spec);
         id
     }
@@ -253,36 +262,38 @@ impl WorkflowBuilder {
         self.files.len()
     }
 
-    /// Look up an already-declared job by name.
-    pub fn job_id(&self, name: &str) -> Option<JobId> {
-        self.job_names.get(name).copied()
-    }
-
-    /// Look up an already-declared file by name.
-    pub fn file_id(&self, name: &str) -> Option<FileId> {
-        self.file_names.get(name).copied()
-    }
-
     /// Validate and freeze the workflow.
     ///
     /// Errors on duplicate names, dangling ids, multi-producer files,
     /// negative CPU demand and cycles.
     pub fn finish(self) -> Result<Workflow, DagError> {
-        let nj = self.jobs.len();
-        let nf = self.files.len();
+        let dup = find_duplicate(self.jobs.iter().map(|j| j.name.as_str()))
+            .or_else(|| find_duplicate(self.files.iter().map(|f| f.name.as_str())));
+        if let Some(dup) = dup {
+            return Err(DagError::DuplicateName(dup));
+        }
+        Workflow::from_specs(self.name, self.jobs, self.files, self.explicit_edges)
+    }
+}
 
-        // Duplicate name detection (maps only keep the first occurrence).
-        if self.job_names.len() != nj {
-            let dup = find_duplicate(self.jobs.iter().map(|j| j.name.as_str()));
-            return Err(DagError::DuplicateName(dup.unwrap_or_default()));
-        }
-        if self.file_names.len() != nf {
-            let dup = find_duplicate(self.files.iter().map(|f| f.name.as_str()));
-            return Err(DagError::DuplicateName(dup.unwrap_or_default()));
-        }
+impl Workflow {
+    /// Validate and freeze specs whose names are already known to be
+    /// unique: [`WorkflowBuilder::finish`] checks them itself, the text
+    /// parser while it resolves them.
+    ///
+    /// Errors on dangling ids, multi-producer files, invalid fields and
+    /// cycles.
+    pub(crate) fn from_specs(
+        name: String,
+        jobs: Vec<JobSpec>,
+        files: Vec<FileSpec>,
+        explicit_edges: Vec<(JobId, JobId)>,
+    ) -> Result<Workflow, DagError> {
+        let nj = jobs.len();
+        let nf = files.len();
 
         // Field validation.
-        for job in &self.jobs {
+        for job in &jobs {
             if !job.cpu_seconds.is_finite() || job.cpu_seconds < 0.0 {
                 return Err(DagError::InvalidField {
                     entity: job.name.clone(),
@@ -312,7 +323,7 @@ impl WorkflowBuilder {
                 }
             }
         }
-        for &(p, c) in &self.explicit_edges {
+        for &(p, c) in &explicit_edges {
             if p.index() >= nj || c.index() >= nj {
                 return Err(DagError::UnknownName(format!("edge {p:?} -> {c:?}")));
             }
@@ -321,15 +332,15 @@ impl WorkflowBuilder {
         // Determine producers; detect multi-producer files and jobs that
         // "produce" initial files.
         let mut producer: Vec<Option<JobId>> = vec![None; nf];
-        for (ji, job) in self.jobs.iter().enumerate() {
+        for (ji, job) in jobs.iter().enumerate() {
             let jid = JobId::from_index(ji);
             for &f in &job.outputs {
                 match producer[f.index()] {
                     None => producer[f.index()] = Some(jid),
                     Some(prev) => {
                         return Err(DagError::MultipleProducers {
-                            file: self.files[f.index()].name.clone(),
-                            first: self.jobs[prev.index()].name.clone(),
+                            file: files[f.index()].name.clone(),
+                            first: jobs[prev.index()].name.clone(),
                             second: job.name.clone(),
                         });
                     }
@@ -338,8 +349,8 @@ impl WorkflowBuilder {
         }
 
         // Collect edges: explicit + data-flow implied; dedup.
-        let mut edges: Vec<(JobId, JobId)> = self.explicit_edges.clone();
-        for (ji, job) in self.jobs.iter().enumerate() {
+        let mut edges = explicit_edges;
+        for (ji, job) in jobs.iter().enumerate() {
             let jid = JobId::from_index(ji);
             for &f in &job.inputs {
                 if let Some(p) = producer[f.index()] {
@@ -352,23 +363,22 @@ impl WorkflowBuilder {
         edges.sort_unstable();
         edges.dedup();
 
-        // Build CSR adjacency (children direction), then transpose.
+        // Build CSR adjacency (children direction), then transpose. The
+        // edges are sorted by parent, so each job's parents come out sorted.
         let (child_offsets, child_data) = build_csr(nj, edges.iter().copied());
-        let mut redges: Vec<(JobId, JobId)> = edges.iter().map(|&(p, c)| (c, p)).collect();
-        redges.sort_unstable();
-        let (parent_offsets, parent_data) = build_csr(nj, redges.iter().copied());
+        let (parent_offsets, parent_data) = build_csr(nj, edges.iter().map(|&(p, c)| (c, p)));
 
-        // Kahn's algorithm: topological order + cycle detection.
+        // Kahn's algorithm: topological order + cycle detection. The queue,
+        // once drained, is the order.
         let mut indeg: Vec<u32> =
             (0..nj).map(|i| parent_offsets[i + 1] - parent_offsets[i]).collect();
         let mut queue: Vec<JobId> =
             (0..nj).filter(|&i| indeg[i] == 0).map(JobId::from_index).collect();
-        let mut topo = Vec::with_capacity(nj);
+        queue.reserve_exact(nj - queue.len());
         let mut head = 0;
         while head < queue.len() {
             let j = queue[head];
             head += 1;
-            topo.push(j);
             let s = child_offsets[j.index()] as usize;
             let e = child_offsets[j.index() + 1] as usize;
             for &c in &child_data[s..e] {
@@ -378,30 +388,28 @@ impl WorkflowBuilder {
                 }
             }
         }
-        if topo.len() != nj {
-            let cyclic: Vec<String> = (0..nj)
-                .filter(|&i| indeg[i] > 0)
-                .take(8)
-                .map(|i| self.jobs[i].name.clone())
-                .collect();
+        if queue.len() != nj {
+            let cyclic: Vec<String> =
+                (0..nj).filter(|&i| indeg[i] > 0).take(8).map(|i| jobs[i].name.clone()).collect();
             return Err(DagError::Cycle(cyclic));
         }
 
         Ok(Workflow {
-            name: self.name,
-            jobs: self.jobs,
-            files: self.files,
+            name,
+            jobs,
+            files,
             child_offsets,
             child_data,
             parent_offsets,
             parent_data,
             producer,
-            topo_order: topo,
+            topo_order: queue,
         })
     }
 }
 
-/// Build CSR arrays from a sorted, deduplicated edge list.
+/// Build CSR arrays from a deduplicated edge list; each row keeps the
+/// list's order.
 fn build_csr(
     n: usize,
     edges: impl Iterator<Item = (JobId, JobId)> + Clone,
@@ -423,8 +431,8 @@ fn build_csr(
     (offsets, data)
 }
 
-fn find_duplicate<'a>(names: impl Iterator<Item = &'a str>) -> Option<String> {
-    let mut seen = std::collections::HashSet::new();
+fn find_duplicate<'a>(names: impl ExactSizeIterator<Item = &'a str>) -> Option<String> {
+    let mut seen = HashSet::with_capacity(names.len());
     for n in names {
         if !seen.insert(n) {
             return Some(n.to_string());
